@@ -320,11 +320,20 @@ class ItemSampler:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        digest = zlib.crc32(repr(key).encode())
-        mixed = _splitmix64(digest ^ (self._salt * 0x9E3779B97F4A7C15))
-        decision = mixed % self.sampling_rate == 0
+        decision = self.decide(key)
         self._memo[key] = decision
         return decision
+
+    def decide(self, key: Key) -> bool:
+        """:meth:`chosen` without the memo, for callers that keep their
+        own per-key cache (so a key costs one dict entry, not two)."""
+        if self.sampling_rate == 1:
+            return True
+        if self._chosen is not None:
+            return key in self._chosen
+        digest = zlib.crc32(repr(key).encode())
+        mixed = _splitmix64(digest ^ (self._salt * 0x9E3779B97F4A7C15))
+        return mixed % self.sampling_rate == 0
 
     # -- checkpoint support ----------------------------------------------------
 

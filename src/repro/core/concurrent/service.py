@@ -538,6 +538,14 @@ class RushMonService:
         for start in range(0, len(ops), size):
             handle_batch(ops[start:start + size])
 
+    def on_events(self, events: list) -> None:
+        """Observe one decoded wire frame (``("op", Operation)`` /
+        ``("b"|"c", buu, time)`` tuples, in arrival order) through the
+        collector's frame path: one call, one lock round, one journal
+        run (:meth:`ShardedCollector.ingest_frame`)."""
+        self._ensure_accepting()
+        self.collector.ingest_frame(events)
+
     def begin_buu(self, buu: BuuId, start_time: int = 0) -> None:
         self._ensure_accepting()
         self.collector.record_lifecycle(EV_BEGIN, buu, start_time)
@@ -596,6 +604,9 @@ class RushMonService:
             started = time.perf_counter()
             if self._faults is not None:
                 self._fire_fault("detect.pass")
+            # The drain may step the degrade shift down; the events it
+            # returns were collected under the shift in force before it.
+            probability = self.collector.sampling_probability
             events = self.collector.drain_journal()
             consumed = 0
             try:
@@ -684,8 +695,7 @@ class RushMonService:
                 return None
             self.processed_events += len(events)
             report = self._window.close(
-                self._clock, self.collector.sampling_probability,
-                health=self.health,
+                self._clock, probability, health=self.health,
             )
             self.reports.append(report)
             self._latest = report  # atomic reference swap

@@ -21,13 +21,16 @@ Correctness rests on two facts:
 The optional *journal* records every event with a globally unique,
 monotonically increasing ticket, assigned while the shard lock is held.
 :meth:`drain_journal` briefly acquires **all** shard locks, swaps the
-journal buffers out and merges them by ticket: because tickets are only
+journal buffers out and sorts them by ticket: because tickets are only
 issued under a shard lock, holding every lock guarantees the drained
 batch is a complete prefix of the ticket sequence — the serialized trace
-of the concurrent execution.  The background detection thread of
-:class:`~repro.core.concurrent.service.RushMonService` consumes this
-journal; replaying it through the offline baseline must (and, per the
-differential tests, does) reproduce the service's counts exactly.
+of the concurrent execution.  :meth:`ingest_frame` (the server's path)
+holds every shard lock for one decoded frame and journals the whole
+frame as one ticket run in shard 0's buffer.  The background detection
+thread of :class:`~repro.core.concurrent.service.RushMonService`
+consumes this journal; replaying it through the offline baseline must
+(and, per the differential tests, does) reproduce the service's counts
+exactly.
 
 Bounded journal and backpressure
 --------------------------------
@@ -65,7 +68,6 @@ stop-the-world drain on the hot path.  The serial
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 import threading
@@ -82,6 +84,10 @@ from repro.obs.metrics import MetricsRegistry
 EV_OP = "op"
 EV_BEGIN = "begin"
 EV_COMMIT = "commit"
+
+#: Wire lifecycle kinds (:func:`repro.net.protocol.decode_events`) ->
+#: journal event kinds.
+_WIRE_LIFECYCLE = {"b": EV_BEGIN, "c": EV_COMMIT}
 
 #: Valid journal-overflow policies.
 OVERFLOW_POLICIES = ("block", "shed", "degrade")
@@ -284,6 +290,11 @@ class ShardedCollector:
                                   random.Random(seed ^ 0x5EED ^ (i * 0x9E37))))
             for i in range(num_shards)
         ]
+        # Frame-path routing memo: key -> (shard index, base-sample
+        # decision).  Both are pure in the key (and the sampler state),
+        # so one entry replaces the placement digest and the sampler's
+        # own memo; restore_state() clears it with the sampler.
+        self._route: dict[Key, tuple[int, bool]] = {}
         self._ticket = itertools.count()
         self._journal = journal
         self.journal_capacity = journal_capacity
@@ -678,6 +689,103 @@ class ShardedCollector:
         if self._m_lifecycle is not None:
             self._m_lifecycle.inc()
 
+    def ingest_frame(self, events: list) -> None:
+        """Ingest one decoded wire frame in a single pass: ``("op",
+        Operation)`` / ``("b"|"c", buu, time)`` tuples, as
+        :func:`~repro.net.protocol.decode_events` returns them.
+
+        Every shard lock is taken once, in index order.  Each op is
+        routed through the per-key ``(shard, sampled)`` memo and, if
+        sampled, bookkept on its own shard; then the whole frame is
+        journaled as one run, tickets in frame order, into shard 0's
+        buffer.  The tickets are drawn while every lock is held, so a
+        drain still sees a complete ticket prefix; frame order is
+        arrival order, so per-key order, MOB RNG draws and counts equal
+        the per-event path's.
+
+        Falls back to per-event :meth:`handle` / :meth:`record_lifecycle`
+        under the same conditions as :meth:`handle_batch` (fault
+        injection, a bounded journal, degrade mode).
+        """
+        if (
+            self._faults is not None
+            or self._shard_capacity is not None
+            or self._degrade_shift
+        ):
+            for event in events:
+                kind = event[0]
+                if kind == EV_OP:
+                    self.handle(event[1])
+                else:
+                    self.record_lifecycle(_WIRE_LIFECYCLE[kind], event[1],
+                                          event[2])
+            return
+        shards = self._shards
+        route = self._route
+        shard_index = self.shard_index
+        decide = self.sampler.decide
+        handles = [shard.state.handle for shard in shards]
+        seen = [0] * self.num_shards
+        journaling = self._journal
+        kinds: list[str] = []
+        payloads: list = []
+        extras: list = []
+        sampled = edge_count = lifecycle = 0
+        lock_wait = self._m_lock_wait
+        waited = time.perf_counter() if lock_wait is not None else 0.0
+        for shard in shards:
+            shard.lock.acquire()
+        if lock_wait is not None:
+            lock_wait.inc(time.perf_counter() - waited)
+        try:
+            for event in events:
+                kind = event[0]
+                if kind == EV_OP:
+                    op = event[1]
+                    key = op.key
+                    hit = route.get(key)
+                    if hit is None:
+                        hit = route[key] = (shard_index(key), decide(key))
+                    index, chosen = hit
+                    seen[index] += 1
+                    if chosen:
+                        edges = handles[index](op)
+                        sampled += 1
+                        edge_count += len(edges)
+                        extras.append(edges)
+                    else:
+                        extras.append(_NO_EDGES)
+                    kinds.append(EV_OP)
+                    payloads.append(op)
+                else:
+                    lifecycle += 1
+                    kinds.append(_WIRE_LIFECYCLE[kind])
+                    payloads.append(event[1])
+                    extras.append(event[2])
+            for shard, count in zip(shards, seen):
+                shard.ops_seen += count
+            if journaling and kinds:
+                head = shards[0]
+                j = head.journal
+                j.tickets.extend(itertools.islice(self._ticket, len(kinds)))
+                j.kinds.extend(kinds)
+                j.payloads.extend(payloads)
+                j.extras.extend(extras)
+                depth = len(j)
+                if depth > head.journal_highwater:
+                    head.journal_highwater = depth
+        finally:
+            for shard in reversed(shards):
+                shard.lock.release()
+        if self._m_ops is not None:
+            self._m_ops.inc(len(kinds) - lifecycle)
+            if sampled:
+                self._m_sampled.inc(sampled)  # type: ignore[union-attr]
+            if edge_count:
+                self._m_edges.inc(edge_count)  # type: ignore[union-attr]
+            if lifecycle and journaling:
+                self._m_lifecycle.inc(lifecycle)  # type: ignore[union-attr]
+
     # -- journal draining (detection thread) ----------------------------------
 
     def drain_journal(self) -> list[tuple]:
@@ -704,10 +812,16 @@ class ShardedCollector:
         finally:
             for shard in reversed(self._shards):
                 shard.lock.release()
-        batches = [list(zip(*a)) for a in arrays if a[0]]
-        # Each batch is ticket-sorted (appended in issue order under the
-        # lock); tickets are unique, so the merge is a total order.
-        merged = list(heapq.merge(*batches))
+        filled = [a for a in arrays if a[0]]
+        if len(filled) == 1:
+            # One buffer (the frame path's usual case) is already in
+            # ticket order.
+            merged = list(zip(*filled[0]))
+        else:
+            # Tickets are unique, so sorting the concatenated sorted
+            # runs once is a total order (timsort merges the runs).
+            merged = sorted(itertools.chain.from_iterable(
+                zip(*a) for a in filled))
         self._maybe_recover_degrade(len(merged))
         if fault is not None and fault.kind == "partial_drain":
             keep = int(len(merged) * fault.fraction)
@@ -798,6 +912,7 @@ class ShardedCollector:
             )
         self._ticket = itertools.count(state["next_ticket"])
         self.sampler.load_state(state["sampler"])
+        self._route.clear()
         with self._degrade_lock:
             self._degrade_shift = state["degrade_shift"]
             self._degrade_shifts_total = state["degrade_shifts_total"]

@@ -9,9 +9,10 @@ RushMonServer` from a background sender thread:
   a timeout raising :class:`ClientBackpressure`, or ``"shed"`` with
   honest drop counters);
 - the sender frames the queue into numbered batches, keeps everything
-  unacknowledged in sequence order, and **replays it all after a
-  reconnect** — the server's per-session dedup turns replays into
-  effectively-once delivery;
+  unacknowledged in sequence order (at most
+  :data:`MAX_INFLIGHT_BATCHES`; past that, batches wait in the queue),
+  and **replays it all after a reconnect** — the server's per-session
+  dedup turns replays into effectively-once delivery;
 - an **ack deadline** on the oldest unacknowledged batch forces a
   reconnect when the server goes silent, which funnels every
   retransmission through the single replay path;
@@ -30,6 +31,7 @@ RushMonServer` from a background sender thread:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import socket
@@ -45,6 +47,13 @@ __all__ = ["ClientBackpressure", "RushMonClient"]
 
 #: Wake-up granularity of the sender loop, seconds.
 _TICK = 0.02
+
+#: Most batches sent but not yet acknowledged.  At the window the
+#: sender stops forming batches, so a producer faster than the server
+#: fills the bounded queue (and meets ``overflow``) instead of growing
+#: an in-flight list whose oldest batch then misses ``ack_timeout`` and
+#: forces a replay of everything.
+MAX_INFLIGHT_BATCHES = 256
 
 
 class ClientBackpressure(RuntimeError):
@@ -102,9 +111,10 @@ class RushMonClient:
     codec:
         ``protocol.CODEC_JSON`` (default, always available),
         ``protocol.CODEC_MSGPACK`` (requires the optional dependency)
-        or ``protocol.CODEC_COLUMNAR`` (packed column batches the
-        server can decode without per-event object construction;
-        always available, vectorized when numpy is installed).
+        or ``protocol.CODEC_COLUMNAR`` (packed column batches: fixed-
+        width columns plus a per-frame key table, decoded from numpy
+        views when numpy is installed; always available).  Every
+        codec reaches the service as the same decoded event tuples.
     seed:
         Seeds the jitter RNG — lets chaos tests make backoff
         deterministic.
@@ -178,7 +188,7 @@ class RushMonClient:
         # Sequence state (sender thread only, read under _lock for
         # flush/metrics).
         self._next_seq = itertools.count(1)
-        self._pending: list[_Batch] = []
+        self._pending: collections.deque[_Batch] = collections.deque()
         self.acked_high = 0
         self._closing = False
         self._stop = threading.Event()
@@ -523,9 +533,10 @@ class RushMonClient:
         self.batches_sent_total += 1
 
     def _send_ready(self, now: float) -> bool:
-        """Form and send at most one batch from the queue."""
+        """Form and send at most one batch from the queue (none while
+        :data:`MAX_INFLIGHT_BATCHES` are unacknowledged)."""
         with self._lock:
-            if not self._queue:
+            if not self._queue or len(self._pending) >= MAX_INFLIGHT_BATCHES:
                 return False
             due = (len(self._queue) >= self.batch_size
                    or self._closing
@@ -576,7 +587,7 @@ class RushMonClient:
             if seq > self.acked_high:
                 self.acked_high = seq
             while self._pending and self._pending[0].seq <= seq:
-                self._pending.pop(0)
+                self._pending.popleft()
                 self.acked_batches_total += 1
             if not self._pending and not self._queue:
                 self._settled.notify_all()

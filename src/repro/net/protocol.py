@@ -270,10 +270,10 @@ class ColumnarEvents:
     ``_COL_OPS``), ``buu`` (int64), ``kidx`` (int32 key-table index,
     ``-1`` on lifecycle rows) and ``seq`` (int64 op sequence /
     lifecycle time).  ``keys`` is the per-frame key table the indices
-    point into.  :func:`decode_events` materializes per-op tuples from
-    it for the classic ingest path; the columnar fast path hands the
-    arrays to :mod:`repro.core.columnar` without building any
-    per-event object.
+    point into.  The server ingests it through :func:`decode_events`,
+    which materializes the same ``("op", Operation)`` / lifecycle
+    tuples every codec decodes to (:meth:`to_tuples`); the saving over
+    JSON is in the wire format and its decode, not in the ingest.
     """
 
     __slots__ = ("op", "buu", "kidx", "seq", "keys")

@@ -761,33 +761,19 @@ class RushMonServer:
         """Feed decoded events ``[offset:]`` to the service, in order.
 
         With an unbounded journal (or a non-raising overflow policy)
-        runs of consecutive operations go through the batched ingest
-        path; under ``overflow="block"`` events are fed one at a time so
-        a backpressure timeout reports exactly how many were consumed.
+        the frame goes to the service in one call
+        (:meth:`RushMonService.on_events`); under ``overflow="block"``
+        events are fed one at a time so a backpressure timeout reports
+        exactly how many were consumed.
         """
         service = self.service
         collector = service.collector
         count = len(events) - offset
         if count <= 0:
             return 0
-        blocking = (collector.journal_capacity is not None
-                    and collector.overflow == "block")
-        if not blocking:
-            run: list = []
-            flush = service.on_operations
-            for event in events[offset:] if offset else events:
-                if event[0] == "op":
-                    run.append(event[1])
-                    continue
-                if run:
-                    flush(run)
-                    run = []
-                if event[0] == "b":
-                    service.begin_buu(event[1], event[2])
-                else:
-                    service.commit_buu(event[1], event[2])
-            if run:
-                flush(run)
+        if collector.journal_capacity is None \
+                or collector.overflow != "block":
+            service.on_events(events[offset:] if offset else events)
             return count
         consumed = 0
         try:

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.concurrent import JournalBackpressure, RushMonService
 from repro.core.config import RushMonConfig
+from repro.core.estimator import estimate_three_cycles, estimate_two_cycles
 from repro.core.monitor import OfflineAnomalyMonitor
 from repro.core.types import Operation, OpType
 from repro.sim.scheduler import ThreadedWorkloadDriver
@@ -238,6 +239,40 @@ def test_degrade_overflow_raises_sampling_rate_and_records_it():
         service.close_window()
     assert collector.degrade_shift == 0
     assert collector.sampling_probability == 1.0
+
+
+def test_degrade_window_is_weighted_by_the_pre_drain_probability():
+    """A light drain steps the degrade shift down, but the events it
+    returns were collected under the shift in force before it: the
+    window's estimates must use that probability."""
+    service = RushMonService(
+        RushMonConfig(sampling_rate=1, mob=False, seed=3, num_shards=1,
+                      journal_capacity=16, overflow="degrade"),
+        record_trace=False,
+    )
+    collector = service.collector
+    for i in range(20):  # 4 past capacity: one escalation
+        service.on_operation(Operation(OpType.WRITE, 1000 + i, "fill", i))
+    assert collector.degrade_shift == 1
+    service.close_window()  # heavy drain: the shift stays
+    assert collector.degrade_shift == 1
+    kept = [key for key in (f"k{i}" for i in range(64))
+            if collector._chosen(key)][:2]
+    x, y = kept
+    # A read-write 2-cycle between BUUs 1 and 2 on two kept items.
+    for op in (Operation(OpType.READ, 1, x, 100),
+               Operation(OpType.READ, 2, y, 101),
+               Operation(OpType.WRITE, 2, x, 102),
+               Operation(OpType.WRITE, 1, y, 103)):
+        service.on_operation(op)
+    p = collector.sampling_probability
+    assert p == 0.5
+    report = service.close_window()  # light drain: the shift steps down
+    assert collector.degrade_shift == 0
+    assert report.raw.two_cycles > 0
+    assert report.estimated_2 == estimate_two_cycles(report.raw, p)
+    assert report.estimated_3 == estimate_three_cycles(report.raw, p)
+    assert report.estimated_2 != estimate_two_cycles(report.raw, 1.0)
 
 
 def test_circuit_breaker_degraded_state_is_visible_everywhere():

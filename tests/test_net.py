@@ -310,8 +310,8 @@ def test_lifecycle_events_travel_too():
 def test_columnar_client_round_trip_matches_offline():
     """The codec-2 differential: a client shipping packed column frames
     produces exactly the JSON client's (and the offline monitor's) sr=1
-    counts — the server decodes columns without per-event objects but
-    ingests the identical stream."""
+    counts — the server decodes the packed columns into the identical
+    event stream."""
     ops = _ops(600, 12, seed=21)
     service = _service()
     with RushMonServer(service) as server:
@@ -599,6 +599,39 @@ def test_client_queue_shed_policy_counts_drops():
         client.close(timeout=0.2)
     finally:
         sock.close()
+
+
+def test_client_inflight_window_bounds_unacked_batches():
+    """A producer far faster than a (fault-slowed) server: the sender
+    stops forming batches at the in-flight window instead of piling up
+    unacknowledged batches until the ack deadline forces a replay."""
+    from repro.net.client import MAX_INFLIGHT_BATCHES
+
+    faults = FaultInjector().inject(
+        Fault("collector.handle", kind="delay", delay=0.0003, times=None))
+    service = _service(faults=faults)
+    total = 4 * MAX_INFLIGHT_BATCHES
+    with RushMonServer(service) as server:
+        client = RushMonClient("127.0.0.1", server.port, batch_size=1,
+                               flush_interval=0.001)
+        peak = [0]
+        send_batch = client._send_batch
+
+        def recording_send(batch):
+            peak[0] = max(peak[0], len(client._pending))
+            send_batch(batch)
+
+        client._send_batch = recording_send
+        with client:
+            for op in _ops(total, 16, seed=61):
+                client.on_operation(op)
+            assert client.flush(30.0)
+            counters = client.counters()
+    assert MAX_INFLIGHT_BATCHES // 2 < peak[0] <= MAX_INFLIGHT_BATCHES
+    assert counters["retransmits"] == 0
+    assert counters["acked_batches"] == total
+    assert server.stats["events_ingested"] == total
+    assert service.processed_events == total
 
 
 def test_client_parameter_validation():
